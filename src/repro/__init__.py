@@ -51,7 +51,6 @@ from repro.engine import (
     UniformPairScheduler,
     make_rng,
     make_simulation,
-    run_trials,
 )
 
 __version__ = "1.8.0"
@@ -83,5 +82,4 @@ __all__ = [
     "__version__",
     "make_rng",
     "make_simulation",
-    "run_trials",
 ]

@@ -362,9 +362,9 @@ class ByzantineOverlay:
     def resolve_stop(self, kind: str):
         """Counts-predicate on the extended histogram for one stop kind.
 
-        Preference order mirrors the engines' own ``_resolve_stop``: the base
-        protocol's ``compiled_predicates`` fast path over the honest slice;
-        exact extended-table silence; otherwise the decoded honest
+        Preference order mirrors :func:`repro.engine.driver.resolve_stop`:
+        the base protocol's ``compiled_predicates`` fast path over the honest
+        slice; exact extended-table silence; otherwise the decoded honest
         configuration through the slow predicate.
         """
         base_protocol = self.view.base_protocol

@@ -54,6 +54,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.engine.compiled import CompilationError
 from repro.engine.run_config import ENGINES, RunConfig
 from repro.experiments.registry import (
     BYZANTINE_EXPERIMENTS,
@@ -517,9 +518,14 @@ def _build_simulation(args):
     return protocol, configuration, rng, start_mode
 
 
+#: Printed under a CompilationError from a table engine.
+_COMPILE_HINT = (
+    "hint: only protocols with an enumerable state space compile; try --engine loop"
+)
+
+
 def _simulate(args) -> int:
     from repro.core.problems import leaders_from_ranks
-    from repro.engine.compiled import CompilationError
     from repro.engine.run_config import make_simulation
 
     protocol, configuration, rng, start_mode = _build_simulation(args)
@@ -535,8 +541,7 @@ def _simulate(args) -> int:
         )
     except CompilationError as error:
         print(f"error: {error}")
-        print("hint: only protocols with an enumerable state space compile; "
-              "try --engine loop")
+        print(_COMPILE_HINT)
         return 2
     result = simulation.run(config)
     print(f"stabilized:    {result.stopped}  ({result.reason})")
@@ -621,8 +626,9 @@ def _run_all(identifiers, args, **overrides) -> int:
     Unsupported combinations (e.g. ``--engine counts`` with an experiment
     that builds an epoch-partition scheduler) fail RunConfig validation
     before any seeding work; surface the message, not the traceback.  The
-    same contract covers unknown identifiers and checkpoint-directory
-    mismatches from ``--resume``.
+    same contract covers unknown identifiers, checkpoint-directory
+    mismatches from ``--resume``, and protocols a table engine cannot
+    compile.
     """
     if getattr(args, "checkpoint", None) or getattr(args, "resume", None):
         if getattr(args, "checkpoint", None) and getattr(args, "resume", None):
@@ -640,6 +646,10 @@ def _run_all(identifiers, args, **overrides) -> int:
             return 2
         except ValueError as error:
             print(f"error: {identifier}: {error}")
+            return 2
+        except CompilationError as error:
+            print(f"error: {identifier}: {error}")
+            print(_COMPILE_HINT)
             return 2
     return 0
 

@@ -32,6 +32,9 @@ Public surface
   counts engine advancing whole windows on a state-count vector in O(S^2)
   per window, independent of ``n`` (``n = 1e8``-``1e9`` populations for
   fixed-state-space protocols).
+* :mod:`~repro.engine.driver` -- the run driver every engine goes through:
+  the default cap, stop resolution, the check loop, plan execution and the
+  trial-batch freeze/boundary logic.
 * :class:`~repro.engine.results.SimulationResult` /
   :class:`~repro.engine.results.TrialStatistics` -- result records.
 
@@ -49,7 +52,7 @@ from repro.engine.results import SimulationResult, TrialStatistics
 from repro.engine.rng import make_rng, spawn_rngs
 from repro.engine.run_config import ENGINES, STOPS, RunConfig, make_simulation
 from repro.engine.scheduler import PairScheduler, UniformPairScheduler, ordered_pair_index
-from repro.engine.simulation import Simulation, run_trials
+from repro.engine.simulation import Simulation
 from repro.engine.state import AgentState
 from repro.engine.trial_batch import CountsTrialBatchSimulation, TrialBatchSimulation
 
@@ -78,6 +81,5 @@ __all__ = [
     "make_rng",
     "make_simulation",
     "ordered_pair_index",
-    "run_trials",
     "spawn_rngs",
 ]

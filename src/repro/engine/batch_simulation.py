@@ -44,18 +44,15 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
+from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, compile_or_reuse
 from repro.engine.configuration import Configuration
+from repro.engine.driver import Engine, check_loop, run_plan
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import PairScheduler, UniformPairScheduler
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.telemetry import metrics as _metrics
-
-#: Stop-condition kinds understood by :meth:`BatchSimulation.run_until_*`.
-_STOP_KINDS = ("correct", "stabilized", "silent")
 
 
 def _last_write_wins() -> bool:
@@ -90,7 +87,7 @@ def _scatter_first(
         np.minimum.at(buffer, agents, positions)
 
 
-class BatchSimulation:
+class BatchSimulation(Engine):
     """Runs one execution of a compiled population protocol.
 
     Mirrors the :class:`~repro.engine.simulation.Simulation` API (``step``,
@@ -124,6 +121,8 @@ class BatchSimulation:
         Upper bound on the number of pairs drawn per vectorized window.
     """
 
+    ENGINE = "compiled"
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -141,11 +140,7 @@ class BatchSimulation:
             raise ValueError(f"max_window must be at least 4, got {max_window}")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            self._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = compile_or_reuse(protocol, compiled, compiler)
 
         n = protocol.n
         if indices is not None:
@@ -175,9 +170,6 @@ class BatchSimulation:
             scheduler if scheduler is not None else UniformPairScheduler(n, rng=self.rng)
         )
         self.interactions = 0
-        #: The fault campaign of the last ``run(config)`` with a FaultPlan
-        #: (checkpoints and digests; see :mod:`repro.adversary.campaign`).
-        self.campaign = None
         self._max_window = int(max_window)
         self._window_ema = 512.0
         self._active_fraction = 1.0
@@ -190,54 +182,8 @@ class BatchSimulation:
         self._pair_positions = np.arange(self._max_window, dtype=np.int64)
         self._slot_positions = np.arange(2 * self._max_window, dtype=np.int64) >> 1
         self._counts: Optional[np.ndarray] = None
-        #: The installed ByzantineOverlay of a ``run(config)`` with a
-        #: ByzantineSpec (see :mod:`repro.adversary.byzantine`).
-        self._byzantine = None
-        #: Checkpoint hook: called as ``on_check(self)`` at every
-        #: ``check_interval`` boundary inside :meth:`run_until` where the run
-        #: is about to continue (stop predicate false, cap not reached).  The
-        #: hook must not consume ``self.rng`` -- :meth:`checkpoint_state` does
-        #: not -- or resumed runs lose bit-identity with uninterrupted ones.
-        self.on_check: Optional[Callable[["BatchSimulation"], None]] = None
-
-    @staticmethod
-    def _check_compiled_compatible(
-        compiled: CompiledProtocol, protocol: PopulationProtocol
-    ) -> None:
-        """Reject a compiled table that was built for different dynamics.
-
-        Compares protocol type, population size, and the enumerated state
-        space, which catches parameter mismatches that reshape the table
-        (e.g. differing ``R_max``).  Parameters that alter transition
-        outcomes without changing the state list cannot be detected here.
-        """
-        source = compiled.protocol
-        if source is protocol:
-            return
-        if type(source) is not type(protocol) or source.n != protocol.n:
-            raise ValueError(
-                f"compiled table was built for {source!r}, not {protocol!r}"
-            )
-        ours = [protocol.state_signature(s) for s in protocol.enumerate_states() or []]
-        theirs = [source.state_signature(s) for s in source.enumerate_states() or []]
-        if ours != theirs:
-            raise ValueError(
-                f"compiled table was built for {source!r}, whose enumerated "
-                f"state space differs from {protocol!r} -- check protocol "
-                "parameters"
-            )
 
     # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size."""
-        return self.protocol.n
-
-    @property
-    def parallel_time(self) -> float:
-        """Interactions executed so far divided by the population size."""
-        return self.interactions / self.protocol.n
 
     @property
     def indices(self) -> np.ndarray:
@@ -286,7 +232,7 @@ class BatchSimulation:
           birthday bound.
         """
         if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
+            return run_plan(self, num_interactions)
         if num_interactions < 0:
             raise ValueError(
                 f"num_interactions must be non-negative, got {num_interactions}"
@@ -326,52 +272,8 @@ class BatchSimulation:
             remaining -= applied
         return None
 
-    def _run_plan(self, config: RunConfig) -> SimulationResult:
-        """Run until ``config.stop`` holds, honouring the config's caps.
-
-        ``RunConfig`` validates ``stop`` against ``STOPS``, and every stop in
-        that catalogue has a ``run_until_<stop>`` method on both engines.
-
-        Scheduler specs and fault plans are honoured exactly like on the
-        loop engine (see :meth:`Simulation._run_plan`): faults fire at their
-        pinned interaction counts, operating directly on the state-index
-        array via :meth:`apply_fault`, the stop condition is evaluated only
-        after the final event, and ``max_interactions`` is one absolute cap
-        -- events scheduled beyond it never fire.
-        """
-        if config.scheduler is not None:
-            self.scheduler = config.scheduler.build(self.protocol.n, rng=self.rng)
-        overlay = None
-        if config.byzantine is not None:
-            overlay = self._install_byzantine(config.byzantine)
-        stopper = getattr(self, f"run_until_{config.stop}")
-        if config.faults is None or not config.faults.events:
-            result = stopper(
-                max_interactions=config.max_interactions,
-                check_interval=config.check_interval,
-            )
-            if overlay is not None:
-                overlay.annotate(result)
-            return result
-        from repro.adversary.campaign import FaultCampaign
-
-        n = self.protocol.n
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        campaign = FaultCampaign(config.faults, self.rng)
-        self.campaign = campaign
-        for index, event in enumerate(config.faults.events):
-            if event.at > cap:
-                break  # the cap truncates the fault timeline
-            if self.interactions < event.at:
-                self.run(event.at - self.interactions)
-            campaign.apply_to_batch(index, self)
-        result = stopper(
-            max_interactions=config.max_interactions,
-            check_interval=config.check_interval,
-        )
-        return campaign.annotate(result)
+    def _install_scheduler(self, spec) -> None:
+        self.scheduler = spec.build(self.protocol.n, rng=self.rng)
 
     def _install_byzantine(self, spec):
         """Swap in the extended table and re-tag the selected agents.
@@ -388,12 +290,6 @@ class BatchSimulation:
             byzantine_selection_rng,
         )
 
-        if self._byzantine is not None:
-            raise RuntimeError("a byzantine overlay is already installed")
-        if self.interactions:
-            raise RuntimeError(
-                "the byzantine overlay must be installed before any interaction"
-            )
         overlay = build_byzantine_overlay(self.protocol, self.compiled, spec)
         marked = overlay.draw_marking(
             byzantine_selection_rng(self.rng), self.compiled.state_counts(self._indices)
@@ -401,7 +297,6 @@ class BatchSimulation:
         self._indices = overlay.mark_indices(self._indices, marked)
         self.compiled = overlay.compiled
         self._counts = None
-        self._byzantine = overlay
         return overlay
 
     def _consume_dense(
@@ -749,102 +644,11 @@ class BatchSimulation:
         Exactly one of ``predicate`` (evaluated on a *decoded*
         :class:`Configuration` -- the slow path, fine for small ``n``) or
         ``counts_predicate`` (evaluated on the ``S``-length state-count
-        vector -- the fast path) must be given.  Checked before the first
-        interaction and after every ``check_interval`` interactions
-        (default: ``n``), like the loop engine.
+        vector -- the fast path) must be given; see
+        :func:`~repro.engine.driver.check_loop` for the check cadence.
         """
-        if (predicate is None) == (counts_predicate is None):
-            raise ValueError("pass exactly one of predicate or counts_predicate")
-        n = self.protocol.n
-        if max_interactions is None:
-            max_interactions = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        if check_interval is None:
-            check_interval = n
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be positive, got {check_interval}")
-
-        def stopped() -> bool:
-            if counts_predicate is not None:
-                return bool(counts_predicate(self.state_counts))
-            return bool(predicate(self.configuration))
-
-        while True:
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                hit = stopped()
-                _metrics.record_stage_seconds(
-                    "compiled", "stop_check", time.perf_counter() - marker
-                )
-            else:
-                hit = stopped()
-            if _metrics._ENABLED:
-                _metrics.record_stop_check("compiled")
-            if hit:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=True,
-                    reason=reason,
-                    engine="compiled",
-                )
-            if self.interactions >= max_interactions:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=False,
-                    reason="cap",
-                    engine="compiled",
-                )
-            if self.on_check is not None:
-                self.on_check(self)
-            remaining = max_interactions - self.interactions
-            self.run(min(check_interval, remaining))
-
-    def _resolve_stop(self, kind: str):
-        """Resolve a stop kind to (predicate, counts_predicate).
-
-        Preference order: the protocol's ``compiled_predicates()`` fast path;
-        for silence, the table-exact :meth:`CompiledProtocol.counts_silent`;
-        otherwise decode and call the protocol's configuration predicate.
-        With a byzantine overlay installed the overlay resolves instead
-        (honest-scope semantics over the extended histogram).
-        """
-        if self._byzantine is not None:
-            return None, self._byzantine.resolve_stop(kind)
-        fast = self.protocol.compiled_predicates().get(kind)
-        if fast is not None:
-            compiled = self.compiled
-            return None, (lambda counts: fast(counts, compiled))
-        if kind == "silent":
-            return None, self.compiled.counts_silent
-        slow = {
-            "correct": self.protocol.is_correct,
-            "stabilized": self.protocol.has_stabilized,
-        }[kind]
-        return slow, None
-
-    def run_until_correct(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's correctness predicate holds (convergence)."""
-        predicate, counts_predicate = self._resolve_stop("correct")
-        kwargs.setdefault("reason", "correct")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_stabilized(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's stabilization predicate holds."""
-        predicate, counts_predicate = self._resolve_stop("stabilized")
-        kwargs.setdefault("reason", "stabilized")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_silent(self, **kwargs) -> SimulationResult:
-        """Run until no applicable table entry can change the configuration."""
-        predicate, counts_predicate = self._resolve_stop("silent")
-        kwargs.setdefault("reason", "silent")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
+        return check_loop(
+            self, predicate, counts_predicate, max_interactions, check_interval, reason
         )
 
 

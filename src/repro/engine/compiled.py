@@ -205,6 +205,30 @@ class CompiledProtocol:
             (predicate(state) for state in self.states), dtype=bool, count=self.num_states
         )
 
+    def check_compatible(self, protocol: PopulationProtocol) -> None:
+        """Reject reusing this table for a protocol with different dynamics.
+
+        Compares protocol type, population size, and the enumerated state
+        space, which catches parameter mismatches that reshape the table
+        (e.g. differing ``R_max``).  Parameters that alter transition
+        outcomes without changing the state list cannot be detected here.
+        """
+        source = self.protocol
+        if source is protocol:
+            return
+        if type(source) is not type(protocol) or source.n != protocol.n:
+            raise ValueError(
+                f"compiled table was built for {source!r}, not {protocol!r}"
+            )
+        ours = [protocol.state_signature(s) for s in protocol.enumerate_states() or []]
+        theirs = [source.state_signature(s) for s in source.enumerate_states() or []]
+        if ours != theirs:
+            raise ValueError(
+                f"compiled table was built for {source!r}, whose enumerated "
+                f"state space differs from {protocol!r} -- check protocol "
+                "parameters"
+            )
+
     # -- generic fast predicates ----------------------------------------------------
 
     def counts_silent(self, counts: np.ndarray) -> bool:
@@ -473,6 +497,19 @@ class ProtocolCompiler:
         )
 
 
+def compile_or_reuse(
+    protocol: PopulationProtocol,
+    compiled: Optional[CompiledProtocol] = None,
+    compiler: Optional[ProtocolCompiler] = None,
+) -> CompiledProtocol:
+    """The table an engine runs: ``compiled`` (checked against ``protocol``)
+    when given, otherwise a fresh compile with ``compiler`` (default one)."""
+    if compiled is None:
+        return (compiler or ProtocolCompiler()).compile(protocol)
+    compiled.check_compatible(protocol)
+    return compiled
+
+
 def _as_raw_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
     """Normalize a compiled table to the branch-explicit raw form.
 
@@ -540,5 +577,6 @@ __all__ = [
     "CompilationError",
     "CompiledProtocol",
     "ProtocolCompiler",
+    "compile_or_reuse",
     "probe_deterministic_branch",
 ]

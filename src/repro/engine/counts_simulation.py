@@ -73,13 +73,18 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, _as_raw_tables
+from repro.engine.compiled import (
+    CompiledProtocol,
+    ProtocolCompiler,
+    _as_raw_tables,
+    compile_or_reuse,
+)
 from repro.engine.configuration import Configuration
+from repro.engine.driver import Engine, check_loop, run_plan
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import COUNTS_EPOCH_MESSAGE, RunConfig
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.telemetry import metrics as _metrics
 
 #: Default bound on the expected fraction of a cell's count consumed by one
@@ -128,7 +133,7 @@ def active_pair_tables(compiled: CompiledProtocol) -> Dict[str, np.ndarray]:
     return support
 
 
-class CountsSimulation:
+class CountsSimulation(Engine):
     """Runs one execution of a compiled protocol on a state-count vector.
 
     Mirrors the :class:`~repro.engine.batch_simulation.BatchSimulation` API
@@ -173,6 +178,8 @@ class CountsSimulation:
         the debug surface the pair-by-pair replay test consumes.
     """
 
+    ENGINE = "counts"
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -200,14 +207,7 @@ class CountsSimulation:
             raise ValueError("the counts engine needs a population of at least 2")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            # Same compatibility contract as the batch engine.
-            from repro.engine.batch_simulation import BatchSimulation
-
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = compile_or_reuse(protocol, compiled, compiler)
 
         tables = _as_raw_tables(compiled)
         self._branch_initiator = tables["initiator"]
@@ -266,33 +266,13 @@ class CountsSimulation:
         self.interactions = 0
         self._law_cache = None
         self._structure_cache = None
-        #: The fault campaign of the last ``run(config)`` with a FaultPlan.
-        self.campaign = None
-        #: The installed ByzantineOverlay, if any (see ``_install_byzantine``).
-        self._byzantine = None
         self._drift_cap = float(drift_cap)
         self._max_window = None if max_window is None else int(max_window)
         self.window_log: Optional[List[Dict]] = [] if record_windows else None
-        #: Checkpoint hook: called as ``on_check(self)`` at every
-        #: ``check_interval`` boundary inside :meth:`run_until` where the run
-        #: is about to continue.  Must not consume ``self.rng``
-        #: (:meth:`checkpoint_state` does not) or resumed runs lose
-        #: bit-identity with uninterrupted ones.
-        self.on_check: Optional[Callable[["CountsSimulation"], None]] = None
         if scheduler_spec is not None:
-            self._install_scheduler_spec(scheduler_spec)
+            self._install_scheduler(scheduler_spec)
 
     # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size."""
-        return self.protocol.n
-
-    @property
-    def parallel_time(self) -> float:
-        """Interactions executed so far divided by the population size."""
-        return self.interactions / self.protocol.n
 
     @property
     def state_counts(self) -> np.ndarray:
@@ -314,7 +294,7 @@ class CountsSimulation:
 
     # -- scheduler installation -------------------------------------------------------
 
-    def _install_scheduler_spec(self, spec) -> None:
+    def _install_scheduler(self, spec) -> None:
         """Re-express the count matrix in the spec's weight classes.
 
         The spec is interpreted structurally (``kind`` / ``weights`` /
@@ -429,12 +409,6 @@ class CountsSimulation:
             byzantine_selection_rng,
         )
 
-        if self._byzantine is not None:
-            raise RuntimeError("a byzantine overlay is already installed")
-        if self.interactions:
-            raise RuntimeError(
-                "the byzantine overlay must be installed before any interaction"
-            )
         overlay = build_byzantine_overlay(self.protocol, self.compiled, spec)
         totals = self._matrix.sum(axis=0)
         marked = overlay.draw_marking(byzantine_selection_rng(self.rng), totals)
@@ -458,7 +432,6 @@ class CountsSimulation:
         self._seed_indices = None
         self._law_cache = None
         self._structure_cache = None
-        self._byzantine = overlay
         return overlay
 
     # -- the window sampler ------------------------------------------------------------
@@ -706,7 +679,7 @@ class CountsSimulation:
         draws included) and returns ``None``.
         """
         if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
+            return run_plan(self, num_interactions)
         if num_interactions < 0:
             raise ValueError(
                 f"num_interactions must be non-negative, got {num_interactions}"
@@ -717,49 +690,6 @@ class CountsSimulation:
             self.interactions += consumed
             remaining -= consumed
         return None
-
-    def _run_plan(self, config: RunConfig) -> SimulationResult:
-        """Run until ``config.stop`` holds, honouring the config's caps.
-
-        Mirrors :meth:`BatchSimulation._run_plan`: scheduler specs install
-        before the first interaction, fault events fire at their pinned
-        interaction counts via :meth:`apply_fault`, the stop condition is
-        evaluated only after the final event, and ``max_interactions`` is one
-        absolute cap -- events scheduled beyond it never fire.
-        """
-        if config.scheduler is not None:
-            self._install_scheduler_spec(config.scheduler)
-        overlay = None
-        if config.byzantine is not None:
-            overlay = self._install_byzantine(config.byzantine)
-        stopper = getattr(self, f"run_until_{config.stop}")
-        if config.faults is None or not config.faults.events:
-            result = stopper(
-                max_interactions=config.max_interactions,
-                check_interval=config.check_interval,
-            )
-            if overlay is not None:
-                overlay.annotate(result)
-            return result
-        from repro.adversary.campaign import FaultCampaign
-
-        n = self.protocol.n
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        campaign = FaultCampaign(config.faults, self.rng)
-        self.campaign = campaign
-        for index, event in enumerate(config.faults.events):
-            if event.at > cap:
-                break  # the cap truncates the fault timeline
-            if self.interactions < event.at:
-                self.run(event.at - self.interactions)
-            campaign.apply_to_batch(index, self)
-        result = stopper(
-            max_interactions=config.max_interactions,
-            check_interval=config.check_interval,
-        )
-        return campaign.annotate(result)
 
     # -- faults ----------------------------------------------------------------------
 
@@ -803,8 +733,6 @@ class CountsSimulation:
             removed = self.rng.multivariate_hypergeometric(self._matrix[group], victims)
             self._matrix[group] -= removed
         self._matrix += injected
-
-    # -- running until a condition ---------------------------------------------------
 
     # -- checkpointing -----------------------------------------------------------------
 
@@ -880,6 +808,8 @@ class CountsSimulation:
         self._structure_cache = None
         self._seed_indices = None
 
+    # -- running until a condition ---------------------------------------------------
+
     def run_until(
         self,
         predicate: Optional[Callable[[Configuration], bool]] = None,
@@ -893,102 +823,11 @@ class CountsSimulation:
         Same contract as the batch engine: exactly one of ``predicate``
         (evaluated on a *decoded* configuration -- slow, and agent order is
         arbitrary) or ``counts_predicate`` (evaluated on the state-count
-        vector -- the native path) must be given; checked before the first
-        interaction and every ``check_interval`` interactions (default ``n``).
+        vector -- the native path) must be given; see
+        :func:`~repro.engine.driver.check_loop` for the check cadence.
         """
-        if (predicate is None) == (counts_predicate is None):
-            raise ValueError("pass exactly one of predicate or counts_predicate")
-        n = self.protocol.n
-        if max_interactions is None:
-            max_interactions = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        if check_interval is None:
-            check_interval = n
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be positive, got {check_interval}")
-
-        def stopped() -> bool:
-            if counts_predicate is not None:
-                return bool(counts_predicate(self.state_counts))
-            return bool(predicate(self.configuration))
-
-        while True:
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                hit = stopped()
-                _metrics.record_stage_seconds(
-                    "counts", "stop_check", time.perf_counter() - marker
-                )
-            else:
-                hit = stopped()
-            if _metrics._ENABLED:
-                _metrics.record_stop_check("counts")
-            if hit:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=True,
-                    reason=reason,
-                    engine="counts",
-                )
-            if self.interactions >= max_interactions:
-                return SimulationResult(
-                    n=n,
-                    interactions=self.interactions,
-                    stopped=False,
-                    reason="cap",
-                    engine="counts",
-                )
-            if self.on_check is not None:
-                self.on_check(self)
-            remaining = max_interactions - self.interactions
-            self.run(min(check_interval, remaining))
-
-    def _resolve_stop(self, kind: str):
-        """Resolve a stop kind to (predicate, counts_predicate).
-
-        Preference order mirrors the batch engine: the protocol's
-        ``compiled_predicates()`` fast path; for silence, the table-exact
-        :meth:`CompiledProtocol.counts_silent`; otherwise decode and call the
-        protocol's configuration predicate (only sound for predicates that do
-        not depend on agent identities, which configuration-level predicates
-        of population protocols by definition do not).
-        """
-        if self._byzantine is not None:
-            return None, self._byzantine.resolve_stop(kind)
-        fast = self.protocol.compiled_predicates().get(kind)
-        if fast is not None:
-            compiled = self.compiled
-            return None, (lambda counts: fast(counts, compiled))
-        if kind == "silent":
-            return None, self.compiled.counts_silent
-        slow = {
-            "correct": self.protocol.is_correct,
-            "stabilized": self.protocol.has_stabilized,
-        }[kind]
-        return slow, None
-
-    def run_until_correct(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's correctness predicate holds (convergence)."""
-        predicate, counts_predicate = self._resolve_stop("correct")
-        kwargs.setdefault("reason", "correct")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_stabilized(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's stabilization predicate holds."""
-        predicate, counts_predicate = self._resolve_stop("stabilized")
-        kwargs.setdefault("reason", "stabilized")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
-        )
-
-    def run_until_silent(self, **kwargs) -> SimulationResult:
-        """Run until no applicable table entry can change the configuration."""
-        predicate, counts_predicate = self._resolve_stop("silent")
-        kwargs.setdefault("reason", "silent")
-        return self.run_until(
-            predicate=predicate, counts_predicate=counts_predicate, **kwargs
+        return check_loop(
+            self, predicate, counts_predicate, max_interactions, check_interval, reason
         )
 
 

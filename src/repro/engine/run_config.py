@@ -64,8 +64,9 @@ class RunConfig:
         entry points default it to ``0`` so CLI runs are reproducible.
     max_interactions:
         Interaction cap, or ``None`` for the engine default
-        (``DEFAULT_CAP_CUBIC_FACTOR * n**3``).  Experiments with tighter
-        internal caps apply their own default when this is ``None``.
+        (:func:`repro.engine.driver.default_cap`, ``40 * n**3``).
+        Experiments with tighter internal caps apply their own default when
+        this is ``None``.
     check_interval:
         Interactions between stop-condition checks (``None`` = ``n``).
     jobs:

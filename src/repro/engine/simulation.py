@@ -17,30 +17,21 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.engine.configuration import Configuration
+from repro.engine.driver import Engine, check_loop, run_plan
 from repro.engine.hooks import InteractionHook
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.results import SimulationResult, TrialStatistics
-from repro.engine.rng import RngLike, make_rng, spawn_rngs
+from repro.engine.results import SimulationResult
+from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import PairScheduler, UniformPairScheduler
 from repro.telemetry import metrics as _metrics
 
-#: Default cap on interactions, expressed as a multiple of ``n ** 3``: the
-#: quadratic-*parallel-time* baseline protocol (``Silent-n-state-SSR``,
-#: Theorem 2.4) needs Theta(n^2) parallel time = Theta(n^3) interactions from
-#: its worst case, so the default cap must scale cubically for it to finish.
-DEFAULT_CAP_CUBIC_FACTOR = 40.0
 
-#: Deprecated alias kept for backward compatibility; the old name wrongly
-#: suggested the cap was a multiple of ``n ** 2``.
-DEFAULT_CAP_QUADRATIC_FACTOR = DEFAULT_CAP_CUBIC_FACTOR
-
-
-class Simulation:
+class Simulation(Engine):
     """Runs one execution of a population protocol."""
+
+    ENGINE = "loop"
 
     def __init__(
         self,
@@ -71,26 +62,8 @@ class Simulation:
         )
         self.hooks: List[InteractionHook] = list(hooks) if hooks else []
         self.interactions = 0
-        #: The fault campaign of the last ``run(config)`` with a FaultPlan
-        #: (checkpoints and digests; see :mod:`repro.adversary.campaign`).
-        self.campaign = None
-        #: The installed ByzantineOverlay of a ``run(config)`` with a
-        #: ByzantineSpec (see :mod:`repro.adversary.byzantine`).
-        self._byzantine = None
-        #: Checkpoint hook: called as ``on_check(self)`` at every
-        #: ``check_interval`` boundary inside :meth:`run_until` where the run
-        #: is about to continue.  The loop engine itself is not
-        #: checkpointable (its RNG is consumed per-transition through
-        #: arbitrary protocol code); the attribute exists so callers can
-        #: observe cadence uniformly across engines.
-        self.on_check: Optional[Callable[["Simulation"], None]] = None
 
     # -- basic stepping -----------------------------------------------------------
-
-    @property
-    def parallel_time(self) -> float:
-        """Interactions executed so far divided by the population size."""
-        return self.interactions / self.protocol.n
 
     def step(self) -> None:
         """Execute a single interaction."""
@@ -112,9 +85,10 @@ class Simulation:
         integer keeps the historical exact-step behaviour (returns ``None``).
         """
         if isinstance(num_interactions, RunConfig):
-            return self._run_plan(num_interactions)
+            return run_plan(self, num_interactions)
         if num_interactions < 0:
             raise ValueError(f"num_interactions must be non-negative, got {num_interactions}")
+        marker = time.perf_counter() if _metrics._PROFILING else 0.0
         # Local-variable binding keeps the hot loop as tight as pure Python allows.
         transition = self.protocol.transition
         next_pair = self.scheduler.next_pair
@@ -133,59 +107,20 @@ class Simulation:
                 i, j = next_pair()
                 transition(states[i], states[j], rng)
             self.interactions += num_interactions
+        if _metrics._PROFILING:
+            _metrics.record_stage_seconds("loop", "table_apply", time.perf_counter() - marker)
+        # The loop engine has no windows; count each call as one instead.
+        if _metrics._ENABLED and num_interactions:
+            _metrics.record_window("loop", num_interactions)
         return None
 
-    # -- running until a condition --------------------------------------------------
+    # -- plan kernels (see repro.engine.driver.run_plan) -------------------------------
 
-    def _run_plan(self, config: RunConfig) -> SimulationResult:
-        """Run until ``config.stop`` holds, honouring the config's caps.
+    def _install_scheduler(self, spec) -> None:
+        self.scheduler = spec.build(self.protocol.n, rng=self.rng)
 
-        ``RunConfig`` validates ``stop`` against ``STOPS``, and every stop in
-        that catalogue has a ``run_until_<stop>`` method on both engines.
-
-        A ``config.scheduler`` spec replaces the engine's scheduler for the
-        plan (built with the engine's generator); a ``config.faults`` plan is
-        executed mid-run: the engine advances to each event's interaction
-        count, applies it, and evaluates the stop condition only after the
-        final event -- so the result measures recovery from the last burst.
-        ``config.max_interactions`` stays an *absolute* cap, shared by the
-        fault timeline and the recovery phase: events scheduled beyond the
-        cap never fire (the run stops at the cap, and the result's
-        ``last_fault_at`` records the last event that actually applied).
-        """
-        if config.scheduler is not None:
-            self.scheduler = config.scheduler.build(self.protocol.n, rng=self.rng)
-        overlay = None
-        if config.byzantine is not None:
-            overlay = self._install_byzantine(config.byzantine)
-        stopper = getattr(self, f"run_until_{config.stop}")
-        if config.faults is None or not config.faults.events:
-            result = stopper(
-                max_interactions=config.max_interactions,
-                check_interval=config.check_interval,
-            )
-            if overlay is not None:
-                overlay.annotate(result)
-            return result
-        from repro.adversary.campaign import FaultCampaign
-
-        n = self.protocol.n
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        campaign = FaultCampaign(config.faults, self.rng)
-        self.campaign = campaign
-        for index, event in enumerate(config.faults.events):
-            if event.at > cap:
-                break  # the cap truncates the fault timeline
-            if self.interactions < event.at:
-                self.run(event.at - self.interactions)
-            campaign.apply_to_configuration(index, self.protocol, self.configuration)
-        result = stopper(
-            max_interactions=config.max_interactions,
-            check_interval=config.check_interval,
-        )
-        return campaign.annotate(result)
+    def _apply_fault_event(self, campaign, index: int) -> None:
+        campaign.apply_to_configuration(index, self.protocol, self.configuration)
 
     def _install_byzantine(self, spec):
         """Re-seat the run on the byzantine overlay (see its module docs).
@@ -205,12 +140,6 @@ class Simulation:
         )
         from repro.engine.compiled import ProtocolCompiler
 
-        if self._byzantine is not None:
-            raise RuntimeError("a byzantine overlay is already installed")
-        if self.interactions:
-            raise RuntimeError(
-                "the byzantine overlay must be installed before any interaction"
-            )
         compiled = ProtocolCompiler().compile(self.protocol)
         overlay = build_byzantine_overlay(self.protocol, compiled, spec)
         indices = compiled.encode_configuration(self.configuration)
@@ -221,8 +150,9 @@ class Simulation:
         for agent, state_index in enumerate(extended):
             self.configuration[agent] = overlay.compiled.states[int(state_index)].clone()
         self.protocol = overlay.view
-        self._byzantine = overlay
         return overlay
+
+    # -- running until a condition --------------------------------------------------
 
     def run_until(
         self,
@@ -231,131 +161,9 @@ class Simulation:
         check_interval: Optional[int] = None,
         reason: str = "predicate",
     ) -> SimulationResult:
-        """Run until ``predicate(configuration)`` holds or the cap is reached.
-
-        The predicate is evaluated before the first interaction and then after
-        every ``check_interval`` interactions (default: ``n``), so the reported
-        stopping interaction count is accurate to within one check interval.
-        """
-        n = self.protocol.n
-        if max_interactions is None:
-            max_interactions = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        if check_interval is None:
-            check_interval = n
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be positive, got {check_interval}")
-
-        while True:
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                hit = predicate(self.configuration)
-                _metrics.record_stage_seconds(
-                    "loop", "stop_check", time.perf_counter() - marker
-                )
-            else:
-                hit = predicate(self.configuration)
-            if _metrics._ENABLED:
-                _metrics.record_stop_check("loop")
-            if hit:
-                result = SimulationResult(
-                    n=n, interactions=self.interactions, stopped=True, reason=reason
-                )
-                self._notify_end()
-                return result
-            if self.interactions >= max_interactions:
-                result = SimulationResult(
-                    n=n, interactions=self.interactions, stopped=False, reason="cap"
-                )
-                self._notify_end()
-                return result
-            if self.on_check is not None:
-                self.on_check(self)
-            chunk = min(check_interval, max_interactions - self.interactions)
-            if _metrics._PROFILING:
-                marker = time.perf_counter()
-                self.run(chunk)
-                _metrics.record_stage_seconds(
-                    "loop", "table_apply", time.perf_counter() - marker
-                )
-            else:
-                self.run(chunk)
-            # The loop engine has no windows; count a chunk per check instead.
-            if _metrics._ENABLED:
-                _metrics.record_window("loop", chunk)
-
-    def run_until_correct(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's correctness predicate holds (convergence)."""
-        kwargs.setdefault("reason", "correct")
-        return self.run_until(self.protocol.is_correct, **kwargs)
-
-    def run_until_stabilized(self, **kwargs) -> SimulationResult:
-        """Run until the protocol's stabilization predicate holds."""
-        kwargs.setdefault("reason", "stabilized")
-        return self.run_until(self.protocol.has_stabilized, **kwargs)
-
-    def run_until_silent(self, **kwargs) -> SimulationResult:
-        """Run until the configuration is silent (no transition changes it)."""
-        kwargs.setdefault("reason", "silent")
-        return self.run_until(self.protocol.is_silent, **kwargs)
-
-    def _notify_end(self) -> None:
-        for hook in self.hooks:
-            hook.on_run_end(self.interactions, self.configuration)
+        """Run until ``predicate(configuration)`` holds or the cap is reached
+        (see :func:`~repro.engine.driver.check_loop` for the check cadence)."""
+        return check_loop(self, predicate, None, max_interactions, check_interval, reason)
 
 
-def run_trials(
-    protocol_factory: Callable[[], PopulationProtocol],
-    trials: int,
-    seed: RngLike = None,
-    configuration_factory: Optional[
-        Callable[[PopulationProtocol, np.random.Generator], Configuration]
-    ] = None,
-    stop: str = "stabilized",
-    max_interactions: Optional[int] = None,
-    check_interval: Optional[int] = None,
-    label: str = "",
-) -> TrialStatistics:
-    """Run ``trials`` independent simulations and collect parallel times.
-
-    Parameters
-    ----------
-    protocol_factory:
-        Zero-argument callable building a fresh protocol instance per trial.
-    configuration_factory:
-        Optional callable ``(protocol, rng) -> Configuration`` building the
-        starting configuration (defaults to the protocol's clean initial
-        configuration; self-stabilization experiments pass adversarial ones).
-    stop:
-        One of ``"stabilized"``, ``"correct"``, or ``"silent"``.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if stop not in ("stabilized", "correct", "silent"):
-        raise ValueError(f"unknown stop condition: {stop!r}")
-
-    rngs = spawn_rngs(seed, trials)
-    times: List[float] = []
-    n = None
-    for rng in rngs:
-        protocol = protocol_factory()
-        n = protocol.n
-        configuration = (
-            configuration_factory(protocol, rng) if configuration_factory is not None else None
-        )
-        simulation = Simulation(protocol, configuration=configuration, rng=rng)
-        runner = {
-            "stabilized": simulation.run_until_stabilized,
-            "correct": simulation.run_until_correct,
-            "silent": simulation.run_until_silent,
-        }[stop]
-        result = runner(max_interactions=max_interactions, check_interval=check_interval)
-        times.append(result.parallel_time)
-    return TrialStatistics.from_values(label or protocol_factory().name, n or 0, times)
-
-
-__all__ = [
-    "DEFAULT_CAP_CUBIC_FACTOR",
-    "DEFAULT_CAP_QUADRATIC_FACTOR",
-    "Simulation",
-    "run_trials",
-]
+__all__ = ["Simulation"]

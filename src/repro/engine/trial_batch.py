@@ -96,19 +96,20 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.batch_simulation import BatchSimulation, _scatter_first
-from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
+from repro.engine.batch_simulation import _scatter_first
+from repro.engine.compiled import CompiledProtocol, ProtocolCompiler, compile_or_reuse
+from repro.engine.configuration import Configuration
 from repro.engine.counts_simulation import (
     DEFAULT_DRIFT_CAP,
     _HARD_WINDOW_CAP,
     active_pair_tables,
 )
+from repro.engine.driver import TrialBatchEngine, run_trial_batch
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RngLike, make_rng
 from repro.engine.run_config import RunConfig
 from repro.engine.scheduler import draw_uniform_pair_matrix
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
 from repro.telemetry import metrics as _metrics
 
 #: Fixed per-trial pair-buffer length.  Part of the compiled RNG-stream
@@ -139,45 +140,7 @@ _EPOCH_WRAP = 1 << 21
 _STALE_TAG = 1 << 62
 
 
-def _resolve_stop(protocol: PopulationProtocol, compiled: CompiledProtocol, kind: str):
-    """Resolve a stop kind to (predicate, counts_predicate).
-
-    Same preference order as the sequential engines: the protocol's
-    ``compiled_predicates()`` fast path; for silence, the table-exact
-    ``counts_silent``; otherwise the decoded configuration predicate.
-    """
-    fast = protocol.compiled_predicates().get(kind)
-    if fast is not None:
-        return None, (lambda counts: fast(counts, compiled))
-    if kind == "silent":
-        return None, compiled.counts_silent
-    slow = {
-        "correct": protocol.is_correct,
-        "stabilized": protocol.has_stabilized,
-    }[kind]
-    return slow, None
-
-
-def _reject_unbatchable(config: RunConfig) -> None:
-    """Refuse plan features the batched regimes cannot honour."""
-    if config.faults is not None and config.faults.events:
-        raise NotImplementedError(
-            "trial-batched execution does not support fault plans; "
-            "the harness runs fault campaigns per trial"
-        )
-    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
-        raise NotImplementedError(
-            "trial-batched execution supports the uniform scheduler only; "
-            "the harness runs adversarial schedulers per trial"
-        )
-    if getattr(config, "byzantine", None) is not None:
-        raise NotImplementedError(
-            "trial-batched execution does not support byzantine overlays; "
-            "the harness runs byzantine trials one at a time"
-        )
-
-
-class TrialBatchSimulation:
+class TrialBatchSimulation(TrialBatchEngine):
     """Runs ``T`` independent compiled-engine trials as one batched execution.
 
     Parameters
@@ -203,6 +166,8 @@ class TrialBatchSimulation:
         surface of the freeze-immutability property test.
     """
 
+    ENGINE = "compiled"
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -218,11 +183,7 @@ class TrialBatchSimulation:
         trials = len(self.rngs)
         if trials < 1:
             raise ValueError("need at least one trial generator")
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = compile_or_reuse(protocol, compiled, compiler)
 
         n = protocol.n
         if (indices is None) == (configurations is None):
@@ -259,7 +220,6 @@ class TrialBatchSimulation:
         # (see _EPOCH_BIAS above).
         self._first_active = np.full(trials * n, _STALE_TAG, dtype=np.int64)
         self._epoch = 0
-        self._ran = False
         #: Trial index -> state-row copy taken at freeze time (only with
         #: ``record_freezes=True``).
         self.freeze_snapshots: Optional[Dict[int, np.ndarray]] = (
@@ -267,16 +227,6 @@ class TrialBatchSimulation:
         )
 
     # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size (per trial)."""
-        return self.protocol.n
-
-    @property
-    def trials(self) -> int:
-        """Number of trials in the batch."""
-        return self._trials
 
     @property
     def state_rows(self) -> np.ndarray:
@@ -294,13 +244,11 @@ class TrialBatchSimulation:
             self.state_rows[trial], minlength=self.compiled.num_states
         )
 
-    # -- execution -------------------------------------------------------------------
+    def trial_configuration(self, trial: int) -> Configuration:
+        """Decode one trial's state row (agent order preserved)."""
+        return self.compiled.decode_configuration(self.state_rows[trial])
 
-    def _stopped(self, trial: int, predicate, counts_predicate) -> bool:
-        if counts_predicate is not None:
-            return bool(counts_predicate(self.trial_state_counts(trial)))
-        row = self.state_rows[trial]
-        return bool(predicate(self.compiled.decode_configuration(row)))
+    # -- execution -------------------------------------------------------------------
 
     def run(self, config: RunConfig) -> List[SimulationResult]:
         """Execute all trials until ``config.stop`` (or the cap) and return
@@ -309,47 +257,16 @@ class TrialBatchSimulation:
         One-shot: a second call raises.  Fault plans and non-uniform
         schedulers raise ``NotImplementedError`` (see module docstring).
         """
-        if not isinstance(config, RunConfig):
-            raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
-        if self._ran:
-            raise RuntimeError("TrialBatchSimulation.run() is one-shot per instance")
-        self._ran = True
-        _reject_unbatchable(config)
+        return run_trial_batch(self, config)
 
-        protocol = self.protocol
+    def _on_freeze(self, trial: int) -> None:
+        if self.freeze_snapshots is not None:
+            self.freeze_snapshots[trial] = self.state_rows[trial].copy()
+
+    def _advance(self, live: np.ndarray, next_check: np.ndarray) -> None:
+        """One vectorized round over the ``live`` trials (see module docstring)."""
         compiled = self.compiled
-        n = protocol.n
-        predicate, counts_predicate = _resolve_stop(protocol, compiled, config.stop)
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        check = config.check_interval if config.check_interval is not None else n
-        reason = config.stop
-
-        trials = self._trials
-        results: List[Optional[SimulationResult]] = [None] * trials
-        live_mask = np.ones(trials, dtype=bool)
-
-        def freeze(trial: int, stopped: bool, why: str) -> None:
-            results[trial] = SimulationResult(
-                n=n,
-                interactions=int(self._applied[trial]),
-                stopped=stopped,
-                reason=why,
-                engine="compiled",
-            )
-            live_mask[trial] = False
-            if self.freeze_snapshots is not None:
-                self.freeze_snapshots[trial] = self.state_rows[trial].copy()
-
-        # Pre-run check, like run_until: stop first, then the cap.
-        for trial in range(trials):
-            if self._stopped(trial, predicate, counts_predicate):
-                freeze(trial, True, reason)
-            elif cap <= 0:
-                freeze(trial, False, "cap")
-
-        next_check = np.full(trials, min(check, cap), dtype=np.int64)
+        n = self.protocol.n
         changes = compiled.changes
         num_states = compiled.num_states
         states = self._states
@@ -357,130 +274,113 @@ class TrialBatchSimulation:
         flat_init = self._buf_init.reshape(-1)
         flat_resp = self._buf_resp.reshape(-1)
 
-        while live_mask.any():
-            live = np.nonzero(live_mask)[0]
-            exhausted = live[self._cursor[live] >= chunk]
-            if len(exhausted):
-                # One fixed-size draw per refill, from each trial's own
-                # stream.  Buffers store *global* agent ids (trial offset
-                # folded in at refill time), saving two adds per round.
-                refill_init, refill_resp = draw_uniform_pair_matrix(
-                    [self.rngs[trial] for trial in exhausted], n, chunk
-                )
-                offsets = (exhausted * n)[:, None]
-                self._buf_init[exhausted] = refill_init + offsets
-                self._buf_resp[exhausted] = refill_resp + offsets
-                self._cursor[exhausted] = 0
-                if _metrics._ENABLED:
-                    _metrics.record_scheduler_refill(len(exhausted))
-
-            cursor = self._cursor[live]
-            widths = np.minimum(chunk - cursor, next_check[live] - self._applied[live])
-            slice_cap = np.maximum(64, (_SLICE_EMA_FACTOR * self._ema[live]).astype(np.int64) + 1)
-            widths = np.minimum(widths, slice_cap)
-            total = int(widths.sum())
-            ends = np.cumsum(widths)
-            starts = ends - widths
-            global_pos = np.arange(total, dtype=np.int64)
-            rep = np.repeat(np.arange(len(live)), widths)
-            flat = global_pos + (live * chunk + cursor - starts)[rep]
-            gi = flat_init[flat]
-            gj = flat_resp[flat]
-            # int32 throughout: S * S always fits (the dense S x S tables
-            # already bound S far below 2**15.5 by memory alone).
-            rows = states[gi] * np.int32(num_states)
-            rows += states[gj]
-            active = changes[rows]
-
-            # Conflict scan.  A pair at position p must end its trial's
-            # segment when either of its agents was touched by an *earlier*
-            # active pair of the slice -- null-classified pairs included,
-            # because their stale reads could misclassify them.  Each agent's
-            # first active occurrence is scatter-recorded as the epoch-biased
-            # tag ``position - epoch * _EPOCH_BIAS``: entries from earlier
-            # epochs carry a strictly larger value than any fresh tag, so one
-            # gather-and-compare replaces the separate epoch-tag array and
-            # the scan costs ~3 full-slice ops.
-            t_end_global = ends.copy()
-            act = np.nonzero(active)[0]
-            if len(act):
-                act_i = gi[act]
-                act_j = gj[act]
-                self._epoch += 1
-                if self._epoch >= _EPOCH_WRAP:
-                    self._first_active.fill(_STALE_TAG)
-                    self._epoch = 1
-                bias = self._epoch * _EPOCH_BIAS
-                agents = np.empty(2 * len(act), dtype=np.int64)
-                agents[0::2] = act_i
-                agents[1::2] = act_j
-                positions = np.empty(2 * len(act), dtype=np.int64)
-                positions[0::2] = act - bias
-                positions[1::2] = positions[0::2]
-                _scatter_first(
-                    self._first_active, agents, positions, sentinel=total - bias
-                )
-                stale_first = np.minimum(
-                    self._first_active[gi], self._first_active[gj]
-                )
-                conflicted = np.nonzero(stale_first < global_pos - bias)[0]
-                if len(conflicted):
-                    # Per-trial first conflict: the (few) flagged positions
-                    # fold into the segment ends via an unbuffered minimum.
-                    np.minimum.at(t_end_global, rep[conflicted], conflicted)
-
-                rep_act = rep[act]
-                keep = np.nonzero(act < t_end_global[rep_act])[0]
-                if len(keep):
-                    applied_rows = rows[act[keep]]
-                    if compiled.branch_cumprob is None:
-                        packed = compiled.packed_result[applied_rows]
-                    else:
-                        # One rng.random(k) per trial with k >= 1 active
-                        # pairs, in live (= trial) order, matching the flat
-                        # (trial-major) pair order of the kept actives.
-                        per_trial = np.bincount(rep_act[keep], minlength=len(live))
-                        draws = [
-                            self.rngs[trial].random(int(count))
-                            for trial, count in zip(live, per_trial)
-                            if count > 0
-                        ]
-                        uniforms = np.concatenate(draws)
-                        cumulative = compiled.branch_cumprob[applied_rows]
-                        branch = (uniforms[:, None] >= cumulative).sum(axis=1)
-                        np.minimum(branch, compiled.max_branches - 1, out=branch)
-                        packed = compiled.packed_result[applied_rows, branch]
-                    targets = np.empty(2 * len(keep), dtype=np.int64)
-                    targets[0::2] = act_i[keep]
-                    targets[1::2] = act_j[keep]
-                    states[targets] = packed.view(np.int32)
-
-            t_end_local = t_end_global - starts
-            self._cursor[live] = cursor + t_end_local
-            self._applied[live] += t_end_local
-            self._ema[live] += 0.25 * (t_end_local - self._ema[live])
+        exhausted = live[self._cursor[live] >= chunk]
+        if len(exhausted):
+            # One fixed-size draw per refill, from each trial's own
+            # stream.  Buffers store *global* agent ids (trial offset
+            # folded in at refill time), saving two adds per round.
+            refill_init, refill_resp = draw_uniform_pair_matrix(
+                [self.rngs[trial] for trial in exhausted], n, chunk
+            )
+            offsets = (exhausted * n)[:, None]
+            self._buf_init[exhausted] = refill_init + offsets
+            self._buf_resp[exhausted] = refill_resp + offsets
+            self._cursor[exhausted] = 0
             if _metrics._ENABLED:
-                # One aggregate window per vectorized round across all live
-                # trials -- per-trial windows would cost a Python loop here.
-                _metrics.record_window("compiled", int(t_end_local.sum()))
+                _metrics.record_scheduler_refill(len(exhausted))
 
-            at_boundary = np.nonzero(self._applied[live] >= next_check[live])[0]
-            for index in at_boundary:
-                trial = int(live[index])
-                applied = int(self._applied[trial])
-                if _metrics._ENABLED:
-                    _metrics.record_stop_check("compiled")
-                if self._stopped(trial, predicate, counts_predicate):
-                    freeze(trial, True, reason)
-                elif applied >= cap:
-                    freeze(trial, False, "cap")
+        cursor = self._cursor[live]
+        widths = np.minimum(chunk - cursor, next_check[live] - self._applied[live])
+        slice_cap = np.maximum(64, (_SLICE_EMA_FACTOR * self._ema[live]).astype(np.int64) + 1)
+        widths = np.minimum(widths, slice_cap)
+        total = int(widths.sum())
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        global_pos = np.arange(total, dtype=np.int64)
+        rep = np.repeat(np.arange(len(live)), widths)
+        flat = global_pos + (live * chunk + cursor - starts)[rep]
+        gi = flat_init[flat]
+        gj = flat_resp[flat]
+        # int32 throughout: S * S always fits (the dense S x S tables
+        # already bound S far below 2**15.5 by memory alone).
+        rows = states[gi] * np.int32(num_states)
+        rows += states[gj]
+        active = changes[rows]
+
+        # Conflict scan.  A pair at position p must end its trial's
+        # segment when either of its agents was touched by an *earlier*
+        # active pair of the slice -- null-classified pairs included,
+        # because their stale reads could misclassify them.  Each agent's
+        # first active occurrence is scatter-recorded as the epoch-biased
+        # tag ``position - epoch * _EPOCH_BIAS``: entries from earlier
+        # epochs carry a strictly larger value than any fresh tag, so one
+        # gather-and-compare replaces the separate epoch-tag array and
+        # the scan costs ~3 full-slice ops.
+        t_end_global = ends.copy()
+        act = np.nonzero(active)[0]
+        if len(act):
+            act_i = gi[act]
+            act_j = gj[act]
+            self._epoch += 1
+            if self._epoch >= _EPOCH_WRAP:
+                self._first_active.fill(_STALE_TAG)
+                self._epoch = 1
+            bias = self._epoch * _EPOCH_BIAS
+            agents = np.empty(2 * len(act), dtype=np.int64)
+            agents[0::2] = act_i
+            agents[1::2] = act_j
+            positions = np.empty(2 * len(act), dtype=np.int64)
+            positions[0::2] = act - bias
+            positions[1::2] = positions[0::2]
+            _scatter_first(
+                self._first_active, agents, positions, sentinel=total - bias
+            )
+            stale_first = np.minimum(
+                self._first_active[gi], self._first_active[gj]
+            )
+            conflicted = np.nonzero(stale_first < global_pos - bias)[0]
+            if len(conflicted):
+                # Per-trial first conflict: the (few) flagged positions
+                # fold into the segment ends via an unbuffered minimum.
+                np.minimum.at(t_end_global, rep[conflicted], conflicted)
+
+            rep_act = rep[act]
+            keep = np.nonzero(act < t_end_global[rep_act])[0]
+            if len(keep):
+                applied_rows = rows[act[keep]]
+                if compiled.branch_cumprob is None:
+                    packed = compiled.packed_result[applied_rows]
                 else:
-                    next_check[trial] = min(applied + check, cap)
+                    # One rng.random(k) per trial with k >= 1 active
+                    # pairs, in live (= trial) order, matching the flat
+                    # (trial-major) pair order of the kept actives.
+                    per_trial = np.bincount(rep_act[keep], minlength=len(live))
+                    draws = [
+                        self.rngs[trial].random(int(count))
+                        for trial, count in zip(live, per_trial)
+                        if count > 0
+                    ]
+                    uniforms = np.concatenate(draws)
+                    cumulative = compiled.branch_cumprob[applied_rows]
+                    branch = (uniforms[:, None] >= cumulative).sum(axis=1)
+                    np.minimum(branch, compiled.max_branches - 1, out=branch)
+                    packed = compiled.packed_result[applied_rows, branch]
+                targets = np.empty(2 * len(keep), dtype=np.int64)
+                targets[0::2] = act_i[keep]
+                targets[1::2] = act_j[keep]
+                states[targets] = packed.view(np.int32)
 
-        return results  # type: ignore[return-value]
+        t_end_local = t_end_global - starts
+        self._cursor[live] = cursor + t_end_local
+        self._applied[live] += t_end_local
+        self._ema[live] += 0.25 * (t_end_local - self._ema[live])
+        if _metrics._ENABLED:
+            # One aggregate window per vectorized round across all live
+            # trials -- per-trial windows would cost a Python loop here.
+            _metrics.record_window("compiled", int(t_end_local.sum()))
 
 
-class CountsTrialBatchSimulation:
+class CountsTrialBatchSimulation(TrialBatchEngine):
     """Runs ``T`` independent counts-engine trials on a ``(T, S)`` count matrix.
 
     One batch-level generator drives the sampling; the window law, drift cap,
@@ -502,6 +402,8 @@ class CountsTrialBatchSimulation:
         Tau-leap knobs, as on :class:`CountsSimulation`.
     """
 
+    ENGINE = "counts"
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -520,11 +422,7 @@ class CountsTrialBatchSimulation:
             raise ValueError("the counts engine needs a population of at least 2")
         self.protocol = protocol
         self.rng = make_rng(rng)
-        if compiled is None:
-            compiled = (compiler or ProtocolCompiler()).compile(protocol)
-        else:
-            BatchSimulation._check_compiled_compatible(compiled, protocol)
-        self.compiled = compiled
+        self.compiled = compiled = compile_or_reuse(protocol, compiled, compiler)
 
         raw = np.asarray(counts)
         matrix = raw.astype(np.int64)
@@ -550,33 +448,25 @@ class CountsTrialBatchSimulation:
         self._drift_cap = float(drift_cap)
         self._max_window = None if max_window is None else int(max_window)
         self._applied = np.zeros(self._trials, dtype=np.int64)
-        self._ran = False
 
     # -- views ----------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Population size (per trial)."""
-        return self.protocol.n
-
-    @property
-    def trials(self) -> int:
-        """Number of trials in the batch."""
-        return self._trials
 
     @property
     def count_rows(self) -> np.ndarray:
         """The ``(T, S)`` count matrix (live view; treat as read-only)."""
         return self._matrix
 
-    # -- execution -------------------------------------------------------------------
+    def trial_state_counts(self, trial: int) -> np.ndarray:
+        """One trial's state-count vector (live view; treat as read-only)."""
+        return self._matrix[trial]
 
-    def _stopped(self, trial: int, predicate, counts_predicate) -> bool:
+    def trial_configuration(self, trial: int) -> Configuration:
+        """Decode one trial's counts (agent order is arbitrary)."""
         counts = self._matrix[trial]
-        if counts_predicate is not None:
-            return bool(counts_predicate(counts))
         indices = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
-        return bool(predicate(self.compiled.decode_configuration(indices)))
+        return self.compiled.decode_configuration(indices)
+
+    # -- execution -------------------------------------------------------------------
 
     def run(self, config: RunConfig) -> List[SimulationResult]:
         """Execute all trials until ``config.stop`` (or the cap); trial order.
@@ -584,148 +474,99 @@ class CountsTrialBatchSimulation:
         One-shot, uniform scheduler only, no fault plans (the harness falls
         back to per-trial execution for those).
         """
-        if not isinstance(config, RunConfig):
-            raise TypeError(f"run() takes a RunConfig, got {type(config).__name__}")
-        if self._ran:
-            raise RuntimeError("CountsTrialBatchSimulation.run() is one-shot per instance")
-        self._ran = True
-        _reject_unbatchable(config)
+        return run_trial_batch(self, config)
 
-        protocol = self.protocol
-        n = protocol.n
+    def _advance(self, live: np.ndarray, next_check: np.ndarray) -> None:
+        """One window for every ``live`` trial, from one frozen-law draw."""
+        n = self.protocol.n
         num_states = self.compiled.num_states
-        predicate, counts_predicate = _resolve_stop(protocol, self.compiled, config.stop)
-        cap = config.max_interactions
-        if cap is None:
-            cap = int(DEFAULT_CAP_CUBIC_FACTOR * n * n * n)
-        check = config.check_interval if config.check_interval is not None else n
-        reason = config.stop
-
-        trials = self._trials
-        results: List[Optional[SimulationResult]] = [None] * trials
-        live_mask = np.ones(trials, dtype=bool)
-
-        def freeze(trial: int, stopped: bool, why: str) -> None:
-            results[trial] = SimulationResult(
-                n=n,
-                interactions=int(self._applied[trial]),
-                stopped=stopped,
-                reason=why,
-                engine="counts",
-            )
-            live_mask[trial] = False
-
-        for trial in range(trials):
-            if self._stopped(trial, predicate, counts_predicate):
-                freeze(trial, True, reason)
-            elif cap <= 0:
-                freeze(trial, False, "cap")
-
-        next_check = np.full(trials, min(check, cap), dtype=np.int64)
         support = self._support
         x, y = support["x"], support["y"]
         diagonal = support["diagonal"]
         denominator = float(n) * float(n - 1)
         rng = self.rng
 
-        while live_mask.any():
-            live = np.nonzero(live_mask)[0]
-            count = len(live)
-            cells = self._matrix[live].astype(np.float64)
-            # Frozen uniform law over the static active support:
-            # P[x, y] = c_x (c_y - [x = y]) / (n (n - 1)); empty cells
-            # contribute exactly zero, so the support needs no per-trial
-            # filtering.
-            probs = cells[:, x] * (cells[:, y] - diagonal) / denominator
-            np.maximum(probs, 0.0, out=probs)
-            total_active = probs.sum(axis=1)
+        count = len(live)
+        cells = self._matrix[live].astype(np.float64)
+        # Frozen uniform law over the static active support:
+        # P[x, y] = c_x (c_y - [x = y]) / (n (n - 1)); empty cells
+        # contribute exactly zero, so the support needs no per-trial
+        # filtering.
+        probs = cells[:, x] * (cells[:, y] - diagonal) / denominator
+        np.maximum(probs, 0.0, out=probs)
+        total_active = probs.sum(axis=1)
 
-            # Drift-capped window per trial (same rule as CountsSimulation):
-            # expected removals from any state stay below drift_cap * count.
-            removal = np.zeros((count, num_states))
-            rows_index = np.arange(count)[:, None]
-            np.add.at(removal, (rows_index, x[None, :]), probs)
-            np.add.at(removal, (rows_index, y[None, :]), probs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                allowance = np.where(removal > 0.0, cells / removal, np.inf)
-            drift_window = self._drift_cap * allowance.min(axis=1)
-            remaining = next_check[live] - self._applied[live]
-            windows = np.minimum(remaining, _HARD_WINDOW_CAP)
-            capped = np.maximum(np.minimum(drift_window, 1e18), 1.0).astype(np.int64)
-            # Silent trials (no active probability) jump straight to their
-            # next boundary: the remaining draws are all null and commute.
+        # Drift-capped window per trial (same rule as CountsSimulation):
+        # expected removals from any state stay below drift_cap * count.
+        removal = np.zeros((count, num_states))
+        rows_index = np.arange(count)[:, None]
+        np.add.at(removal, (rows_index, x[None, :]), probs)
+        np.add.at(removal, (rows_index, y[None, :]), probs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            allowance = np.where(removal > 0.0, cells / removal, np.inf)
+        drift_window = self._drift_cap * allowance.min(axis=1)
+        remaining = next_check[live] - self._applied[live]
+        windows = np.minimum(remaining, _HARD_WINDOW_CAP)
+        capped = np.maximum(np.minimum(drift_window, 1e18), 1.0).astype(np.int64)
+        # Silent trials (no active probability) jump straight to their
+        # next boundary: the remaining draws are all null and commute.
+        if _metrics._ENABLED:
+            _metrics.record_drift_cap(
+                int(np.count_nonzero((total_active > 0.0) & (capped < windows)))
+            )
+        windows = np.where(total_active > 0.0, np.minimum(windows, capped), windows)
+        if self._max_window is not None:
+            windows = np.minimum(windows, self._max_window)
+
+        events = np.zeros((count, len(x)), dtype=np.int64)
+        consumed = np.zeros((count, num_states), dtype=np.int64)
+        sample = np.nonzero(total_active > 0.0)[0]
+        while len(sample):
+            pvals = probs[sample] / total_active[sample, None]
+            hits = rng.binomial(
+                windows[sample], np.minimum(total_active[sample], 1.0)
+            )
+            drawn = rng.multinomial(hits, pvals)
+            used = np.zeros((len(sample), num_states), dtype=np.int64)
+            local = np.arange(len(sample))[:, None]
+            np.add.at(used, (local, x[None, :]), drawn)
+            np.add.at(used, (local, y[None, :]), drawn)
+            # Matching feasibility per trial: no state may supply more
+            # initiators+responders than it holds.  Only the overdrawn
+            # trials halve and resample; feasible trials keep their draw.
+            overdrawn = (used > self._matrix[live[sample]]).any(axis=1)
+            feasible = ~overdrawn
             if _metrics._ENABLED:
-                _metrics.record_drift_cap(
-                    int(np.count_nonzero((total_active > 0.0) & (capped < windows)))
-                )
-            windows = np.where(total_active > 0.0, np.minimum(windows, capped), windows)
-            if self._max_window is not None:
-                windows = np.minimum(windows, self._max_window)
+                _metrics.record_halving(int(np.count_nonzero(overdrawn)))
+            events[sample[feasible]] = drawn[feasible]
+            consumed[sample[feasible]] = used[feasible]
+            windows[sample[overdrawn]] = np.maximum(
+                windows[sample[overdrawn]] // 2, 1
+            )
+            sample = sample[overdrawn]
 
-            events = np.zeros((count, len(x)), dtype=np.int64)
-            consumed = np.zeros((count, num_states), dtype=np.int64)
-            sample = np.nonzero(total_active > 0.0)[0]
-            while len(sample):
-                pvals = probs[sample] / total_active[sample, None]
-                hits = rng.binomial(
-                    windows[sample], np.minimum(total_active[sample], 1.0)
-                )
-                drawn = rng.multinomial(hits, pvals)
-                used = np.zeros((len(sample), num_states), dtype=np.int64)
-                local = np.arange(len(sample))[:, None]
-                np.add.at(used, (local, x[None, :]), drawn)
-                np.add.at(used, (local, y[None, :]), drawn)
-                # Matching feasibility per trial: no state may supply more
-                # initiators+responders than it holds.  Only the overdrawn
-                # trials halve and resample; feasible trials keep their draw.
-                overdrawn = (used > self._matrix[live[sample]]).any(axis=1)
-                feasible = ~overdrawn
-                if _metrics._ENABLED:
-                    _metrics.record_halving(int(np.count_nonzero(overdrawn)))
-                events[sample[feasible]] = drawn[feasible]
-                consumed[sample[feasible]] = used[feasible]
-                windows[sample[overdrawn]] = np.maximum(
-                    windows[sample[overdrawn]] // 2, 1
-                )
-                sample = sample[overdrawn]
-
-            delta = -consumed
-            rows_index = np.arange(count)[:, None]
-            if support["num_branches"] == 1:
-                np.add.at(delta, (rows_index, support["out_initiator"][None, :]), events)
-                np.add.at(delta, (rows_index, support["out_responder"][None, :]), events)
-            else:
-                branch_events = rng.multinomial(events, support["branch_pvals"])
-                deep_index = np.arange(count)[:, None, None]
-                np.add.at(
-                    delta,
-                    (deep_index, support["branch_initiator"][None, :, :]),
-                    branch_events,
-                )
-                np.add.at(
-                    delta,
-                    (deep_index, support["branch_responder"][None, :, :]),
-                    branch_events,
-                )
-            self._matrix[live] += delta
-            self._applied[live] += windows
-            if _metrics._ENABLED:
-                _metrics.record_window("counts", int(windows.sum()))
-
-            at_boundary = np.nonzero(self._applied[live] >= next_check[live])[0]
-            for index in at_boundary:
-                trial = int(live[index])
-                applied = int(self._applied[trial])
-                if _metrics._ENABLED:
-                    _metrics.record_stop_check("counts")
-                if self._stopped(trial, predicate, counts_predicate):
-                    freeze(trial, True, reason)
-                elif applied >= cap:
-                    freeze(trial, False, "cap")
-                else:
-                    next_check[trial] = min(applied + check, cap)
-
-        return results  # type: ignore[return-value]
+        delta = -consumed
+        rows_index = np.arange(count)[:, None]
+        if support["num_branches"] == 1:
+            np.add.at(delta, (rows_index, support["out_initiator"][None, :]), events)
+            np.add.at(delta, (rows_index, support["out_responder"][None, :]), events)
+        else:
+            branch_events = rng.multinomial(events, support["branch_pvals"])
+            deep_index = np.arange(count)[:, None, None]
+            np.add.at(
+                delta,
+                (deep_index, support["branch_initiator"][None, :, :]),
+                branch_events,
+            )
+            np.add.at(
+                delta,
+                (deep_index, support["branch_responder"][None, :, :]),
+                branch_events,
+            )
+        self._matrix[live] += delta
+        self._applied[live] += windows
+        if _metrics._ENABLED:
+            _metrics.record_window("counts", int(windows.sum()))
 
 
 __all__ = ["CountsTrialBatchSimulation", "TRIAL_CHUNK", "TrialBatchSimulation"]

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.engine.compiled import CompiledProtocol, ProtocolCompiler
 from repro.engine.configuration import Configuration
+from repro.engine.driver import unbatchable_reason
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.results import SimulationResult, TrialStatistics
 from repro.engine.rng import RngLike, batch_seed_sequence, spawn_seed_sequences
@@ -320,15 +321,10 @@ def _unbatchable_reason(config: RunConfig) -> Optional[str]:
     :func:`run_trials` warns once per run so an ignored ``--trial-batch`` is
     never silent.
     """
-    if config.faults is not None and config.faults.events:
-        return "fault campaigns run per trial"
-    if config.scheduler is not None and getattr(config.scheduler, "kind", None) != "uniform":
-        return "adversarial schedulers run per trial"
-    if config.byzantine is not None:
-        return "byzantine overlays run per trial"
-    if config.engine not in ("compiled", "counts"):
+    reason = unbatchable_reason(config)
+    if reason is None and config.engine not in ("compiled", "counts"):
         return f"engine {config.engine!r} has no trial-batched form"
-    return None
+    return reason
 
 
 def _execute_trial_batch(

@@ -7,7 +7,7 @@ from repro.core.propagate_reset import ResetWaveProtocol
 from repro.core.silent_n_state import SilentNStateSSR
 from repro.engine.batch_simulation import BatchSimulation
 from repro.engine.compiled import CompilationError, ProtocolCompiler
-from repro.engine.simulation import DEFAULT_CAP_CUBIC_FACTOR
+from repro.engine.driver import DEFAULT_CAP_CUBIC_FACTOR
 from repro.processes.epidemic import EpidemicState, TwoWayEpidemicProtocol
 from repro.processes.roll_call import RollCallProtocol
 

@@ -1,15 +1,13 @@
-"""Unit tests for the Simulation loop and run_trials."""
+"""Unit tests for the Simulation loop, and run_trials on the loop engine."""
 
 import pytest
 
 from repro.core.fratricide import FratricideLeaderElection
 from repro.core.silent_n_state import SilentNStateSSR
-from repro.engine.simulation import (
-    DEFAULT_CAP_CUBIC_FACTOR,
-    DEFAULT_CAP_QUADRATIC_FACTOR,
-    Simulation,
-    run_trials,
-)
+from repro.engine.driver import DEFAULT_CAP_CUBIC_FACTOR
+from repro.engine.run_config import RunConfig
+from repro.engine.simulation import Simulation
+from repro.experiments.harness import run_trials
 
 
 class TestStepping:
@@ -93,8 +91,7 @@ class TestStoppingConditions:
 
     def test_default_cap_is_cubic_in_n(self):
         """Regression: the default cap is factor * n**3 (Theta(n^2) parallel
-        time for the quadratic-time baseline), and the constant's name must
-        say so -- the old DEFAULT_CAP_QUADRATIC_FACTOR name promised n**2."""
+        time for the quadratic-time baseline)."""
         n = 3
         protocol = FratricideLeaderElection(n)
         configuration = protocol.all_followers_configuration()  # never correct
@@ -102,9 +99,6 @@ class TestStoppingConditions:
         result = simulation.run_until_correct(check_interval=10_000)
         assert not result.stopped and result.reason == "cap"
         assert result.interactions == int(DEFAULT_CAP_CUBIC_FACTOR * n**3)
-
-    def test_deprecated_cap_alias_preserved(self):
-        assert DEFAULT_CAP_QUADRATIC_FACTOR == DEFAULT_CAP_CUBIC_FACTOR
 
     def test_result_engine_field(self):
         result = Simulation(FratricideLeaderElection(8), rng=0).run_until_correct()
@@ -126,25 +120,31 @@ class TestReproducibility:
 
 
 class TestRunTrials:
+    """The harness's ``run_trials`` driving the loop engine."""
+
     def test_returns_statistics_with_requested_trials(self):
-        stats = run_trials(lambda: FratricideLeaderElection(8), trials=5, seed=0, stop="correct")
-        assert stats.trials == 5 and stats.n == 8
-        assert stats.mean > 0
+        results = run_trials(
+            lambda: FratricideLeaderElection(8), 5, run=RunConfig(seed=0, stop="correct")
+        )
+        assert len(results) == 5
+        assert all(r.n == 8 and r.stopped and r.reason == "correct" for r in results)
+        assert all(r.engine == "loop" for r in results)
+        assert sum(r.parallel_time for r in results) > 0
 
     def test_configuration_factory_is_used(self):
-        stats = run_trials(
+        results = run_trials(
             lambda: SilentNStateSSR(6),
-            trials=3,
-            seed=0,
+            3,
+            run=RunConfig(seed=0, stop="stabilized"),
             configuration_factory=lambda protocol, rng: protocol.worst_case_configuration(),
-            stop="stabilized",
         )
-        assert all(value > 0 for value in stats.values)
+        # The clean start is already ranked, so only the worst case takes time.
+        assert all(r.parallel_time > 0 for r in results)
 
     def test_invalid_stop_rejected(self):
         with pytest.raises(ValueError):
-            run_trials(lambda: FratricideLeaderElection(8), trials=1, stop="bogus")
+            run_trials(lambda: FratricideLeaderElection(8), 1, run=RunConfig(stop="bogus"))
 
     def test_invalid_trials_rejected(self):
         with pytest.raises(ValueError):
-            run_trials(lambda: FratricideLeaderElection(8), trials=0)
+            run_trials(lambda: FratricideLeaderElection(8), 0, run=RunConfig())

@@ -74,6 +74,19 @@ class TestStressCommand:
         assert "epoch-partition scheduler" in output
 
 
+    def test_compilation_failure_is_a_clean_error(self, capsys, monkeypatch):
+        from repro.engine.compiled import CompilationError, ProtocolCompiler
+
+        def refuse(self, protocol):
+            raise CompilationError(f"{protocol.name}: state space exceeds max_states=1")
+
+        monkeypatch.setattr(ProtocolCompiler, "compile", refuse)
+        code = main(["stress", "recovery_burst", "--engine", "compiled"] + FAST_ARGS)
+        output = capsys.readouterr().out
+        assert code == 2
+        assert "error: recovery_burst: " in output
+        assert "hint: only protocols with an enumerable state space compile" in output
+
 class TestStressByzantine:
     def test_byzantine_flag_selects_the_byzantine_families(self, capsys):
         code = main(["stress", "--byzantine", "--n", "8"] + FAST_ARGS)

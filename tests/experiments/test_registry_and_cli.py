@@ -1,5 +1,7 @@
 """Tests for the experiment registry and the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -85,6 +87,16 @@ class TestCli:
         assert output.startswith("error: unknown experiment 'does_not_exist'")
         assert "known:" in output
 
+    def test_run_compilation_failure_is_a_clean_error(self, capsys):
+        # Optimal-Silent-SSR's quick-scale state space exceeds the compiler's
+        # max_states: the CLI must print the error and the hint, not a traceback.
+        code = main(["run", "optimal_silent", "--scale", "quick", "--engine", "compiled"])
+        output = capsys.readouterr().out
+        assert code == 2
+        assert output.startswith("error: optimal_silent: ")
+        assert "exceeds max_states" in output
+        assert "hint: only protocols with an enumerable state space compile" in output
+
     def test_run_forwards_jobs_flag(self, capsys):
         from repro.experiments.harness import ExperimentSpec
 
@@ -129,8 +141,9 @@ class TestCliSeedRegression:
     """--seed makes experiment runs reproducible from the CLI."""
 
     def _capture(self, capsys, argv):
+        """Stdout with the footer's wall-clock seconds blanked (row count kept)."""
         assert main(argv) == 0
-        return capsys.readouterr().out
+        return re.sub(r"(rows in )[0-9.]+s --", r"\1<t>s --", capsys.readouterr().out)
 
     def test_same_seed_same_table(self, capsys):
         first = self._capture(
