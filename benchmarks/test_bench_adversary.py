@@ -73,24 +73,26 @@ def _recovering_simulation(compiled, spec) -> BatchSimulation:
 def run_scheduler_overhead() -> List[Dict]:
     """Throughput of each scheduler on the recovering reset wave at n=10^5."""
     compiled = ProtocolCompiler().compile(ResetWaveProtocol(N))
-    rows: List[Dict] = []
-    baseline = None
-    for name, spec in SCHEDULERS:
-        best = float("inf")
-        for _ in range(REPEATS):
+    best = {name: float("inf") for name, _ in SCHEDULERS}
+    # Every repeat times each scheduler once, so a load change on a shared
+    # machine lands on all of them rather than on one scheduler's block.
+    for _ in range(REPEATS):
+        for name, spec in SCHEDULERS:
             simulation = _recovering_simulation(compiled, spec)
             started = time.perf_counter()
             simulation.run(INTERACTIONS)
-            best = min(best, time.perf_counter() - started)
-        if baseline is None:
-            baseline = best
+            best[name] = min(best[name], time.perf_counter() - started)
+    baseline = best[SCHEDULERS[0][0]]
+    rows: List[Dict] = []
+    for name, _ in SCHEDULERS:
+        seconds = best[name]
         rows.append(
             {
                 "scheduler": name,
                 "n": N,
-                "interactions/s": INTERACTIONS / best,
-                "seconds": best,
-                "overhead vs uniform": best / baseline - 1.0,
+                "interactions/s": INTERACTIONS / seconds,
+                "seconds": seconds,
+                "overhead vs uniform": seconds / baseline - 1.0,
             }
         )
     return rows

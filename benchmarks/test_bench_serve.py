@@ -62,17 +62,15 @@ def run_checkpoint_overhead(tmp_root: Path) -> List[Dict]:
     rows: List[Dict] = []
     for engine, n, check_interval, max_interactions in WORKLOADS:
         target = tmp_root / f"{engine}.ckpt.json"
-        plain = min(
-            _timed_run(engine, n, check_interval, max_interactions, None)[0]
-            for _ in range(REPEATS)
-        )
-        checkpointed, count = min(
-            (
-                _timed_run(engine, n, check_interval, max_interactions, target)
-                for _ in range(REPEATS)
-            ),
-            key=lambda outcome: outcome[0],
-        )
+        plain = checkpointed = float("inf")
+        # Alternate the two runs, so a load change on a shared machine lands
+        # on both rather than on one of two back-to-back blocks.
+        workload = (engine, n, check_interval, max_interactions)
+        for _ in range(REPEATS):
+            seconds, _ = _timed_run(*workload, None)
+            plain = min(plain, seconds)
+            seconds, count = _timed_run(*workload, target)
+            checkpointed = min(checkpointed, seconds)
         rows.append(
             {
                 "engine": engine,

@@ -113,11 +113,13 @@ def measure_tolerance(
     # Imported here: analysis is a lower layer than the experiment harness.
     from repro.experiments.harness import run_trials
 
+    # One protocol object for every fraction, so the table engines compile once.
+    protocol = protocol_factory()
     results_by_fraction: Dict[float, Sequence[SimulationResult]] = {}
     for fraction in fractions:
         spec = ByzantineSpec(fraction=float(fraction), strategy=strategy)
         results_by_fraction[float(fraction)] = run_trials(
-            protocol_factory,
+            lambda: protocol,
             trials,
             run=run.replace(byzantine=spec),
             configuration_factory=configuration_factory,

@@ -38,7 +38,17 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -52,25 +62,50 @@ class CompilationError(RuntimeError):
     """Raised when a protocol cannot be compiled to a transition table."""
 
 
+class ProbeGenerators:
+    """One generator per probe seed, rewound to its seed's start for each probe.
+
+    Restoring a saved ``bit_generator.state`` yields exactly the stream
+    ``make_rng(seed)`` would, at a fraction of the cost of building a new
+    generator for every probed pair.  Keep instances local to one compile:
+    iterating rewinds shared generators, so concurrent users would interleave.
+    """
+
+    def __init__(self, seeds: Sequence[int]):
+        self._probes = []
+        for seed in seeds:
+            rng = make_rng(seed)
+            self._probes.append((rng, rng.bit_generator.state))
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        for rng, start in self._probes:
+            rng.bit_generator.state = start
+            yield rng
+
+
 def probe_deterministic_branch(
     protocol: PopulationProtocol,
     initiator: AgentState,
     responder: AgentState,
-    probe_seeds: Sequence[int] = (11, 17),
+    probe_seeds: Union[Sequence[int], ProbeGenerators] = (11, 17),
 ) -> List[Tuple[float, AgentState, AgentState]]:
     """Derive a deterministic transition's single branch by probing.
 
     Applies ``transition()`` to clones with one fixed-seed generator per probe
     seed and insists the outcomes agree; differing outcomes mean the
     transition consumes randomness without declaring ``transition_branches()``,
-    which raises :class:`CompilationError`.  Shared by the compiler's generic
-    path and by product protocols deriving their factors' branches.
+    which raises :class:`CompilationError`.  ``probe_seeds`` may be a
+    :class:`ProbeGenerators` built once for many probes.  Shared by the
+    compiler's generic path and by product protocols deriving their factors'
+    branches.
     """
+    if not isinstance(probe_seeds, ProbeGenerators):
+        probe_seeds = ProbeGenerators(probe_seeds)
     outcomes = []
-    for seed in probe_seeds:
+    for rng in probe_seeds:
         probe_initiator = initiator.clone()
         probe_responder = responder.clone()
-        protocol.transition(probe_initiator, probe_responder, make_rng(seed))
+        protocol.transition(probe_initiator, probe_responder, rng)
         outcomes.append((probe_initiator, probe_responder))
     signatures = {
         (protocol.state_signature(a), protocol.state_signature(b)) for a, b in outcomes
@@ -324,6 +359,7 @@ class ProtocolCompiler:
 
         # Close the state set under the transition relation, recording the
         # branch list of every ordered pair as we go.
+        probes = ProbeGenerators(self.probe_seeds)
         table: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
         closed = 0
         while closed < len(states):
@@ -332,7 +368,9 @@ class ProtocolCompiler:
                 for j in range(boundary):
                     if i < closed and j < closed:
                         continue
-                    table[(i, j)] = self._branches(protocol, states[i], states[j], intern)
+                    table[(i, j)] = self._branches(
+                        protocol, states[i], states[j], intern, probes
+                    )
             closed = boundary
 
         return self._build(protocol, states, table)
@@ -345,6 +383,7 @@ class ProtocolCompiler:
         initiator: AgentState,
         responder: AgentState,
         intern: Callable[[AgentState], int],
+        probes: ProbeGenerators,
     ) -> List[Tuple[float, int, int]]:
         """Branch list ``[(probability, initiator', responder')]`` for one pair."""
         explicit = protocol.transition_branches(initiator.clone(), responder.clone())
@@ -371,7 +410,7 @@ class ProtocolCompiler:
             return encoded
 
         [(probability, result_initiator, result_responder)] = probe_deterministic_branch(
-            protocol, initiator, responder, self.probe_seeds
+            protocol, initiator, responder, probes
         )
         return [(probability, intern(result_initiator), intern(result_responder))]
 
@@ -576,6 +615,7 @@ def _product_tables(left: Dict[str, np.ndarray], right: Dict[str, np.ndarray]) -
 __all__ = [
     "CompilationError",
     "CompiledProtocol",
+    "ProbeGenerators",
     "ProtocolCompiler",
     "compile_or_reuse",
     "probe_deterministic_branch",

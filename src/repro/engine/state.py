@@ -13,6 +13,11 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, Hashable, Tuple
 
+#: Field value types :meth:`AgentState.clone` shares instead of copying.  They
+#: are immutable, and ``deepcopy`` returns them unchanged too.  Exact types
+#: only: a subclass of ``int`` or ``str`` may carry mutable attributes.
+_SHARED_TYPES = frozenset({int, float, str, bool, type(None)})
+
 
 class AgentState:
     """Mutable field-based agent state.
@@ -40,8 +45,22 @@ class AgentState:
         return tuple(sorted((name, _freeze(value)) for name, value in self.fields().items()))
 
     def clone(self) -> "AgentState":
-        """Return a deep copy of this state."""
-        return copy.deepcopy(self)
+        """Return a deep copy of this state.
+
+        Equivalent to ``copy.deepcopy(self)`` without its generic dispatch:
+        the copy is made with ``object.__new__`` (``__init__`` is not run),
+        scalar fields are shared, and every other field -- ``_``-prefixed
+        ones included -- is deep-copied through one memo, so fields that
+        alias one object still alias one copy.
+        """
+        duplicate = object.__new__(type(self))
+        fields = duplicate.__dict__
+        memo: Dict[int, Any] = {id(self): duplicate}
+        for name, value in self.__dict__.items():
+            fields[name] = (
+                value if type(value) in _SHARED_TYPES else copy.deepcopy(value, memo)
+            )
+        return duplicate
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AgentState):

@@ -74,6 +74,22 @@ TrialObserver = Callable[[int, SimulationResult], None]
 #: passing plain lambdas as factories.
 _POOL_STATE: Optional[Dict] = None
 
+#: The table :func:`run_trials` compiled last.  Protocol objects are immutable
+#: after construction, so a later call that passes the same object (by
+#: identity, never by parameters) runs on this table instead of compiling
+#: again.  One entry: experiments loop over settings of one protocol.
+_LAST_COMPILED: Optional[CompiledProtocol] = None
+
+
+def _compiled_table(protocol: PopulationProtocol) -> CompiledProtocol:
+    """``protocol``'s table, compiled at most once per protocol object."""
+    global _LAST_COMPILED
+    compiled = _LAST_COMPILED
+    if compiled is None or compiled.protocol is not protocol:
+        compiled = _LAST_COMPILED = ProtocolCompiler().compile(protocol)
+    return compiled
+
+
 #: The active trial memo (installed via :func:`trial_memo`); ``None`` runs
 #: every trial live.  A memo makes :func:`run_trials` durable: finished
 #: trials replay from it, the in-flight one checkpoints through it.
@@ -446,9 +462,11 @@ def run_trials(
     the fork, not pickled).  With the table-driven engines
     (``engine="compiled"`` / ``engine="counts"``) the protocol is compiled
     once up front and the table shared -- by reference across sequential
-    trials, via fork copy-on-write across workers.  On platforms without the
-    ``fork`` start method the harness degrades to sequential execution (same
-    results, no speedup).
+    trials, via fork copy-on-write across workers.  A factory that returns
+    the object the previous call compiled reuses that table; runners that
+    loop over settings other than the protocol pass ``lambda: protocol``.
+    On platforms without the ``fork`` start method the harness degrades to
+    sequential execution (same results, no speedup).
 
     ``counts_factory`` seeds table-engine trials with a state-count vector
     (O(S) instead of O(n)); it requires a table engine (``"counts"`` or
@@ -477,7 +495,7 @@ def run_trials(
             )
     seeds = spawn_seed_sequences(config.seed, trials)
     compiled = (
-        ProtocolCompiler().compile(protocol_factory())
+        _compiled_table(protocol_factory())
         if config.engine in ("compiled", "counts")
         else None
     )

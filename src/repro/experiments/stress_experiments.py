@@ -129,11 +129,13 @@ def run_recovery_burst(params: Mapping, run: RunConfig) -> List[Dict]:
     )
     n, trials = opts["n"], opts["trials"]
     seed = _base_seed(run)
+    # One protocol object for every setting, so the table engines compile once.
+    protocol = make_stress_protocol(opts["protocol"], n)
     rows: List[Dict] = []
     for burst_size in _clamped_burst_sizes(opts["burst_sizes"], n):
         plan = _burst_plan(n, opts["burst_times"], burst_size)
         results = run_trials(
-            protocol_factory=lambda: make_stress_protocol(opts["protocol"], n),
+            protocol_factory=lambda: protocol,
             trials=trials,
             run=run.replace(seed=(seed, n, burst_size), faults=plan),
         )
@@ -194,18 +196,26 @@ def run_recovery_scheduler(params: Mapping, run: RunConfig) -> List[Dict]:
         ),
     )
     seed = _base_seed(run)
+    # Every config is built (and validated) before the first trial runs, so
+    # a combination RunConfig refuses fails before any compile.
+    configs = [
+        run.replace(
+            # crc32, not hash(): str hashing is salted per process, which
+            # would break same-seed reproducibility across runs.
+            seed=(seed, n, zlib.crc32(name.encode()) % (2**16)),
+            faults=plan,
+            scheduler=spec,
+        )
+        for name, spec in schedulers
+    ]
+    # One protocol object for every scheduler, so the table engines compile once.
+    protocol = make_stress_protocol(opts["protocol"], n)
     rows: List[Dict] = []
-    for name, spec in schedulers:
+    for (name, spec), config in zip(schedulers, configs):
         results = run_trials(
-            protocol_factory=lambda: make_stress_protocol(opts["protocol"], n),
+            protocol_factory=lambda: protocol,
             trials=trials,
-            run=run.replace(
-                # crc32, not hash(): str hashing is salted per process, which
-                # would break same-seed reproducibility across runs.
-                seed=(seed, n, zlib.crc32(name.encode()) % (2**16)),
-                faults=plan,
-                scheduler=spec,
-            ),
+            run=config,
         )
         rows.append(
             _recovery_row(

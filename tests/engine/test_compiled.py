@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.propagate_reset import ResetWaveProtocol
 from repro.core.silent_n_state import SilentNStateSSR, SilentNStateState
-from repro.engine.compiled import CompilationError, ProtocolCompiler
+from repro.engine.compiled import CompilationError, ProbeGenerators, ProtocolCompiler
 from repro.engine.configuration import Configuration
 from repro.engine.protocol import PopulationProtocol
+from repro.engine.rng import make_rng
 from repro.engine.state import AgentState
 from repro.processes.epidemic import EpidemicState, TwoWayEpidemicProtocol
 from repro.processes.roll_call import RollCallProtocol
@@ -125,6 +126,36 @@ class TestClosure:
         assert compiled.num_states == protocol.theoretical_state_count() == 1 + 5 * 4
 
 
+class TestProbeGenerators:
+    def test_every_pass_replays_the_seed_streams(self):
+        probes = ProbeGenerators((11, 17))
+        expected = [make_rng(seed).random(3).tolist() for seed in (11, 17)]
+        for _ in range(3):
+            assert [rng.random(3).tolist() for rng in probes] == expected
+
+
+class TestRepeatedCompiles:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: ResetWaveProtocol(8, rmax=3, dmax=3),
+            lambda: LazyEpidemicProtocol(8, p=0.25),
+        ],
+        ids=["reset-wave", "lazy-epidemic"],
+    )
+    def test_two_compiles_give_identical_arrays(self, factory):
+        first = ProtocolCompiler().compile(factory())
+        second = ProtocolCompiler().compile(factory())
+        assert [s.signature() for s in first.states] == [s.signature() for s in second.states]
+        for channel in ("result_initiator", "result_responder", "changes", "packed_result"):
+            left, right = getattr(first, channel), getattr(second, channel)
+            assert left.dtype == right.dtype and left.tobytes() == right.tobytes()
+        if first.branch_cumprob is None:
+            assert second.branch_cumprob is None
+        else:
+            assert first.branch_cumprob.tobytes() == second.branch_cumprob.tobytes()
+
+
 class TestErrors:
     def test_non_enumerable_protocol_rejected(self):
         from repro.core.initialized_ranking import InitializedLeaderDrivenRanking
@@ -133,6 +164,14 @@ class TestErrors:
             ProtocolCompiler().compile(InitializedLeaderDrivenRanking(8))
 
     def test_hidden_randomness_detected(self):
+        protocol = LazyEpidemicProtocol(8, p=0.5, declare_branches=False)
+        with pytest.raises(CompilationError, match="randomized"):
+            ProtocolCompiler().compile(protocol)
+
+    def test_hidden_randomness_detected_after_deterministic_compile(self):
+        # The probe generators are rewound per probe, never shared across
+        # compiles, so an earlier compile cannot make both probes agree.
+        ProtocolCompiler().compile(SilentNStateSSR(6))
         protocol = LazyEpidemicProtocol(8, p=0.5, declare_branches=False)
         with pytest.raises(CompilationError, match="randomized"):
             ProtocolCompiler().compile(protocol)

@@ -1,8 +1,26 @@
 """Unit tests for the AgentState base class."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.adversary.byzantine import TaggedState
+from repro.core.composition import ComposedState
+from repro.core.epsilon_consensus import EpsilonConsensusProtocol
+from repro.core.fratricide import FratricideState
+from repro.core.initialized_ranking import InitializedRankingState
+from repro.core.observation25 import ThreeAgentSSLEWithoutRanking
+from repro.core.optimal_silent import OptimalSilentSSR
+from repro.core.propagate_reset import ResetWaveProtocol
+from repro.core.silent_n_state import SilentNStateState
+from repro.core.sublinear.protocol import SublinearTimeSSR
+from repro.derandomize.synthetic_coin import SyntheticCoinState
 from repro.engine.state import AgentState, _freeze
+from repro.processes.bounded_epidemic import LevelState
+from repro.processes.epidemic import EpidemicState
+from repro.processes.roll_call import RollCallState
 
 
 class Example(AgentState):
@@ -64,6 +82,86 @@ class TestClone:
     def test_clone_preserves_equality(self):
         state = Example(rank=4, tags=["x"])
         assert state.clone() == state
+
+    def test_nested_values_are_independent(self):
+        inner = Example(rank=2, tags=[7])
+        state = Example(rank=1, tags=[{"k": [1]}, inner])
+        duplicate = state.clone()
+        duplicate.tags[0]["k"].append(2)
+        duplicate.tags[1].tags.append(8)
+        duplicate.tags[1].rank = 3
+        assert state.tags[0] == {"k": [1]}
+        assert inner.tags == [7] and inner.rank == 2
+        assert duplicate.tags[1] is not inner
+
+    def test_aliased_fields_stay_aliased(self):
+        shared = [1, 2]
+        state = Example(rank=1, tags=shared, _cache=shared)
+        duplicate = state.clone()
+        assert duplicate.tags is duplicate._cache
+        assert duplicate.tags is not shared
+
+    def test_private_fields_are_copied(self):
+        state = Example(rank=1, _cache={"hits": [3]})
+        duplicate = state.clone()
+        assert duplicate._cache == {"hits": [3]}
+        assert duplicate._cache is not state._cache
+
+    def test_init_is_not_rerun(self):
+        class Counting(AgentState):
+            constructed = 0
+
+            def __init__(self, rank):
+                type(self).constructed += 1
+                self.rank = rank
+
+        state = Counting(5)
+        duplicate = state.clone()
+        assert Counting.constructed == 1
+        assert type(duplicate) is Counting and duplicate.rank == 5
+
+
+def _sublinear_exemplar() -> AgentState:
+    """A Sublinear-Time-SSR state whose history tree has grown edges."""
+    protocol = SublinearTimeSSR(6)
+    rng = np.random.default_rng(4)
+    configuration = protocol.random_configuration(rng)
+    for _ in range(300):
+        i, j = rng.choice(len(configuration), size=2, replace=False)
+        protocol.transition(configuration[i], configuration[j], rng)
+    states = [state for state in configuration if state.tree is not None]
+    return max(states, key=lambda state: len(state.tree.edges))
+
+
+#: One exemplar per catalogue state class, with non-default field values.
+STATE_EXEMPLARS = {
+    "optimal-silent": lambda: OptimalSilentSSR(5).random_state(np.random.default_rng(2)),
+    "sublinear": _sublinear_exemplar,
+    "tagged": lambda: TaggedState(1, SilentNStateState(3)),
+    "level": lambda: LevelState(4),
+    "fratricide": lambda: FratricideState(True),
+    "three-agent": lambda: ThreeAgentSSLEWithoutRanking().initial_state(1, None),
+    "initialized-ranking": lambda: InitializedRankingState("Settled", rank=2, children=1),
+    "synthetic-coin": lambda: SyntheticCoinState("Flip", bits="10", bits_needed=3),
+    "epidemic": lambda: EpidemicState(True),
+    "roll-call": lambda: RollCallState(2, frozenset({0, 2})),
+    "reset-wave": lambda: ResetWaveProtocol(8).random_state(np.random.default_rng(3)),
+    "epsilon-consensus": lambda: EpsilonConsensusProtocol(8).random_state(
+        np.random.default_rng(5)
+    ),
+    "silent-n-state": lambda: SilentNStateState(6),
+    "composed": lambda: ComposedState(FratricideState(False), SilentNStateState(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_EXEMPLARS))
+def test_base_clone_matches_deepcopy(name):
+    """The base clone (used by every class without an override) is a deepcopy."""
+    state = STATE_EXEMPLARS[name]()
+    duplicate = AgentState.clone(state)
+    assert type(duplicate) is type(state)
+    assert pickle.dumps(duplicate) == pickle.dumps(copy.deepcopy(state))
+    assert duplicate == state
 
 
 class TestFreeze:

@@ -63,10 +63,16 @@ class TestStressCommand:
             spec = get_experiment(identifier)
             assert spec.runner.experiment_identifier == identifier
 
-    def test_unsupported_engine_combo_is_a_clean_error(self, capsys):
+    def test_unsupported_engine_combo_is_a_clean_error(self, capsys, monkeypatch):
         # recovery_scheduler builds an epoch-partition scheduler, which the
         # counts engine rejects at RunConfig validation time; the CLI must
-        # surface the message, not a traceback.
+        # surface the message, not a traceback -- and before any compile.
+        from repro.engine.compiled import ProtocolCompiler
+
+        def refuse(self, protocol):
+            raise AssertionError("compiled before the config was validated")
+
+        monkeypatch.setattr(ProtocolCompiler, "compile", refuse)
         code = main(["stress", "recovery_scheduler", "--engine", "counts"] + FAST_ARGS)
         output = capsys.readouterr().out
         assert code == 2

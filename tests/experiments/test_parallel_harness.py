@@ -185,3 +185,53 @@ class TestJobsThreading:
         for identifier, spec in EXPERIMENTS.items():
             assert getattr(spec.runner, "experiment_identifier", None) == identifier
         assert not hasattr(next(iter(EXPERIMENTS.values())), "supports_jobs")
+
+
+class TestCompileReuse:
+    """``run_trials`` compiles each protocol object once, keyed by identity."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        from repro.engine.compiled import ProtocolCompiler
+
+        compiled_for = []
+        original = ProtocolCompiler.compile
+
+        def counting(self, protocol):
+            compiled_for.append(protocol)
+            return original(self, protocol)
+
+        monkeypatch.setattr(ProtocolCompiler, "compile", counting)
+        return compiled_for
+
+    @staticmethod
+    def _two_calls(factory, jobs=1):
+        return [
+            run_trials(
+                factory,
+                trials=3,
+                run=RunConfig(seed=seed, stop="stabilized", engine="compiled", jobs=jobs),
+                configuration_factory=lambda protocol, rng: protocol.triggered_configuration(),
+            )
+            for seed in (7, 8)
+        ]
+
+    def test_same_instance_compiles_once(self, compiles):
+        protocol = ResetWaveProtocol(24, rmax=4, dmax=4)
+        self._two_calls(lambda: protocol)
+        assert compiles == [protocol]
+
+    def test_same_instance_compiles_once_across_jobs(self, compiles):
+        protocol = ResetWaveProtocol(24, rmax=4, dmax=4)
+        self._two_calls(lambda: protocol, jobs=2)
+        assert compiles == [protocol]
+
+    def test_fresh_instances_compile_once_per_call(self, compiles):
+        self._two_calls(lambda: ResetWaveProtocol(24, rmax=4, dmax=4))
+        assert len(compiles) == 2 and compiles[0] is not compiles[1]
+
+    def test_reuse_gives_equal_results(self):
+        protocol = ResetWaveProtocol(24, rmax=4, dmax=4)
+        reused = self._two_calls(lambda: protocol)
+        fresh = self._two_calls(lambda: ResetWaveProtocol(24, rmax=4, dmax=4))
+        assert reused == fresh
